@@ -164,8 +164,8 @@ class FastBackend(Backend):
             reached_mask = outcome.joined & outcome.participants
             reached = int(reached_mask.sum())
             if reached:
-                fractions = outcome.fractions[reached_mask].mean(axis=0)
                 estimate = outcome.mean_estimate()
+                fractions = estimate.fractions
             else:
                 fractions = np.full(outcome.thresholds.shape, np.nan)
             summaries.append(InstanceSummary(

@@ -6,8 +6,9 @@ arrays so the paper's sweeps (system sizes up to 1,000,000 nodes, dozens
 of configurations) run in seconds.  All nodes of an aggregation instance
 share one threshold vector, so the per-node state is one batched
 ``(N, λ)`` matrix (:class:`~repro.fastsim.state.BatchState`, reused
-across instances) and a gossip round is a pass of a kernel over
-preallocated scratch (:class:`~repro.fastsim.exchange.ExchangeBuffers`).
+across instances) and a gossip round is a pass of a kernel driven by
+preallocated index scratch
+(:class:`~repro.fastsim.exchange.ExchangeBuffers`).
 Populations beyond one process's appetite run through the
 multiprocessing shard driver (:class:`~repro.fastsim.shard.ShardedAdam2`).
 """

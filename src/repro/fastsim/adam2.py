@@ -9,14 +9,14 @@ round is a pass of one of the :mod:`repro.fastsim.exchange` kernels.
 The hot path is built around one **batched state tensor per run**: a
 single preallocated ``(N, λ)`` matrix (:class:`repro.fastsim.state.BatchState`,
 ``λ = k + v + 1`` columns over all thresholds) refilled in place for each
-consecutive instance, driven through preallocated exchange scratch
-(:class:`repro.fastsim.exchange.ExchangeBuffers` — in-place partner
-permutations, gather/scatter row buffers).  In the steady state a round
-allocates nothing proportional to ``N``, which is what lets the
-``matching`` kernel reach million-node populations; the optional
-``float32`` mode halves the memory traffic on top.  The multiprocessing
-shard driver (:mod:`repro.fastsim.shard`) partitions this same state
-across worker processes for populations beyond one core.
+consecutive instance, driven through preallocated exchange index
+scratch (:class:`repro.fastsim.exchange.ExchangeBuffers` — in-place
+partner permutations).  A matching round is one gather/average/scatter
+pass over the pair rows, which is what lets the ``matching`` kernel
+reach million-node populations; the optional ``float32`` mode halves
+the memory traffic on top.  The multiprocessing shard driver
+(:mod:`repro.fastsim.shard`) partitions this same state across worker
+processes for populations beyond one core.
 
 Churn semantics (paper §VII-G): replaced nodes get fresh attribute values
 from the same distribution; nodes that enter during an instance ignore it
@@ -83,7 +83,8 @@ def points_residual_stats(fractions: np.ndarray, true_at_t: np.ndarray) -> tuple
     """
     if fractions.shape[0] == 0:
         return 0.0, 0.0
-    residual = np.abs(fractions - true_at_t[None, :])
+    residual = fractions - true_at_t
+    np.abs(residual, out=residual)
     return float(residual.max()), float(residual.mean(axis=1).sum())
 
 
@@ -204,9 +205,10 @@ class FastInstanceResult:
         mask = self.joined & self.participants
         if not mask.any():
             raise SimulationError("no participant completed the instance")
+        rows = self.fractions if mask.all() else self.fractions[mask]
         return EstimatedCDF(
             thresholds=self.thresholds,
-            fractions=self.fractions[mask].mean(axis=0, dtype=np.float64),
+            fractions=rows.mean(axis=0, dtype=np.float64),
             minimum=float(self.minimum[mask].min()),
             maximum=float(self.maximum[mask].max()),
             system_size=float(np.median(self.size_estimates())) if self.weights[mask].max() > 0 else None,
@@ -315,8 +317,8 @@ class Adam2Simulation:
         self._obs = obs if obs is not None else NULL_HUB
         # The (N, λ) batch and exchange scratch are sized on the first
         # instance (λ depends on the selected thresholds) and reused for
-        # every one after: the steady-state instance allocates nothing
-        # proportional to n beyond its result arrays.
+        # every one after, so an instance's only (N, λ) allocations are
+        # the kernel's per-round pair gathers and its result arrays.
         self._batch: BatchState | None = None
         self._buffers: ExchangeBuffers | None = None
         # Post-instance per-node estimate state (shared thresholds).
@@ -442,7 +444,8 @@ class Adam2Simulation:
                 ))
             if track and (round_index + 1) % track_every == 0:
                 entire, points = self._instance_errors(
-                    averaged[:, :k], extremes, joined, participants & ~excluded, thresholds, truth, grid
+                    np.clip(averaged[:, :k], 0.0, 1.0), extremes, joined,
+                    participants & ~excluded, thresholds, truth, grid,
                 )
                 trace.record(round_index + 1, entire, points)
 
@@ -608,7 +611,11 @@ class Adam2Simulation:
     ) -> tuple[ErrorPair, ErrorPair]:
         """Aggregate errors over eligible nodes, counting error 1 for
         eligible nodes the instance has not reached (their approximation
-        is undefined — the paper's early-round plateau at 1)."""
+        is undefined — the paper's early-round plateau at 1).
+
+        ``fractions`` must already be clipped to [0, 1]; when every node
+        was reached the residuals run over it without a row copy.
+        """
         reached = joined & eligible
         missing = int((eligible & ~joined).sum())
         n_reached = int(reached.sum())
@@ -617,7 +624,7 @@ class Adam2Simulation:
         if n_reached == 0:
             return assemble_error_pairs(0, missing, 0.0, 0.0, 0.0, 0.0)
 
-        frac = np.clip(fractions[reached], 0.0, 1.0)
+        frac = fractions if n_reached == reached.size else fractions[reached]
         points_max, points_avg_sum = points_residual_stats(
             frac, truth.evaluate(thresholds)
         )

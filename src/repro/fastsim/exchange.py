@@ -26,14 +26,20 @@ Two kernels:
   the only kernel that reaches million-node populations.
 
 Both kernels accept an optional :class:`ExchangeBuffers`: preallocated
-per-round scratch (partner permutations, gather/scatter row buffers)
-reused across rounds and instances, so the steady-state matching round
-performs no heap allocation proportional to ``n``.  Buffered and
-unbuffered paths consume the generator identically (an in-place shuffle
-over a copied identity is exactly what ``rng.permutation`` does
-internally, and the partner draw is the same ``rng.integers`` call), so
-enabling buffers never changes a seeded run — a property the tests
-assert bit-for-bit.
+per-round index scratch (the node permutation and partner draws) reused
+across rounds and instances.  Buffered and unbuffered paths consume the
+generator identically (an in-place shuffle over a copied identity is
+exactly what ``rng.permutation`` does internally, and the partner draw
+is the same ``rng.integers`` call), so enabling buffers never changes a
+seeded run — a property the tests assert bit-for-bit.
+
+The matching kernel gathers pair rows with plain ``np.take`` rather
+than into preallocated row scratch: under the default ``mode='raise'``,
+``np.take(..., out=)`` buffers its output internally (so a bounds error
+cannot leave ``out`` half written), which costs an extra copy of every
+gathered row.  At 200k nodes × 51 float64 columns a steady-state round
+took a median of ~107 ms with ``out=`` scratch against ~79 ms with
+allocating gathers, with bit-identical results.
 
 Both kernels implement the two join semantics discussed in DESIGN.md:
 ``literal`` (paper Fig. 1: the joiner merges, the contacted peer ignores
@@ -72,14 +78,15 @@ register_non_conserving("literal", LITERAL_JOIN_BIAS)
 
 
 class ExchangeBuffers:
-    """Preallocated per-round scratch for the exchange kernels.
+    """Preallocated per-round index scratch for the exchange kernels.
 
-    One instance is sized for a fixed population ``n`` and state width
-    (columns of the ``averaged`` matrix) and reused for every round of
-    every instance: the permutation and partner draws fill preallocated
-    index buffers in place, and the matching kernel gathers pair rows
-    into preallocated row buffers (``np.take(..., out=...)``) instead of
-    allocating ``(n/2, width)`` temporaries four times per round.
+    One instance is sized for a fixed population ``n`` and reused for
+    every round of every instance: the permutation and partner draws
+    fill preallocated index buffers in place.  ``width`` and ``dtype``
+    record the state matrix the scratch serves (:meth:`ensure` keys
+    reuse on them); no state rows are held here — the matching kernel's
+    plain ``np.take`` gathers beat gathering into ``out=`` row scratch
+    (see the module docstring).
 
     The buffered and unbuffered paths consume the generator identically
     (`shuffle` over a copied identity is exactly what ``permutation``
@@ -98,12 +105,6 @@ class ExchangeBuffers:
         self.order = np.empty(self.n, dtype=np.intp)
         self.partners = np.empty(self.n, dtype=np.int64)
         self._ge = np.empty(self.n, dtype=bool)
-        half = self.n // 2
-        # Matching-kernel row scratch: gathered pair rows and extremes.
-        self.rows_a = np.empty((half, self.width), dtype=self.dtype)
-        self.rows_b = np.empty((half, self.width), dtype=self.dtype)
-        self.ext_a = np.empty((half, 2), dtype=self.dtype)
-        self.ext_b = np.empty((half, 2), dtype=self.dtype)
 
     @classmethod
     def ensure(
@@ -123,14 +124,6 @@ class ExchangeBuffers:
         ):
             return current
         return cls(n, width, resolved)
-
-    def compatible(self, averaged: np.ndarray) -> bool:
-        """Whether this scratch matches a state matrix's shape and dtype."""
-        return (
-            averaged.shape[0] == self.n
-            and averaged.shape[1] == self.width
-            and averaged.dtype == self.dtype
-        )
 
     def permutation(self, rng: np.random.Generator) -> np.ndarray:
         """A uniform random permutation of ``0..n-1``, allocation-free.
@@ -249,101 +242,62 @@ def matching_round(
 ) -> int:
     """One random-matching round (vectorised); returns active exchanges.
 
-    With compatible ``buffers`` and every node joined (the steady state
-    an instance spends most of its rounds in), the round is entirely
-    allocation-free: permutation in place, pair rows gathered with
-    ``np.take(out=...)``, means and extremes computed into preallocated
-    scratch, scattered back with fancy assignment.
+    Every case — steady state, spreading, exclusions, ``literal`` joins —
+    runs one gather/average/scatter sequence over the active pairs.  Once
+    every node has joined and none is excluded (the steady state an
+    instance spends most of its rounds in) all pairs are active and the
+    join-mask work is skipped.
     """
     n = averaged.shape[0]
     if n < 2:
         raise SimulationError("need at least 2 nodes to gossip")
-    buffered = buffers is not None and buffers.compatible(averaged)
-    perm = buffers.permutation(rng) if buffered else rng.permutation(n)
+    if buffers is not None and buffers.n == n:
+        perm = buffers.permutation(rng)
+    else:
+        perm = rng.permutation(n)
     half = n // 2
     a = perm[:half]
     b = perm[half : 2 * half]
 
-    if buffered and excluded is None and joined.all():
-        # Steady-state fast path: every pair is active and already
-        # joined, so the whole round is four takes, two reductions and
-        # four scatters over the preallocated row scratch.
-        assert buffers is not None
-        rows_a = buffers.rows_a
-        rows_b = buffers.rows_b
-        np.take(averaged, a, axis=0, out=rows_a)
-        np.take(averaged, b, axis=0, out=rows_b)
-        np.add(rows_a, rows_b, out=rows_a)
-        rows_a *= 0.5
-        averaged[a] = rows_a
-        averaged[b] = rows_a
-        ext_a = buffers.ext_a
-        ext_b = buffers.ext_b
-        np.take(extremes, a, axis=0, out=ext_a)
-        np.take(extremes, b, axis=0, out=ext_b)
-        np.minimum(ext_a[:, 0], ext_b[:, 0], out=ext_a[:, 0])
-        np.maximum(ext_a[:, 1], ext_b[:, 1], out=ext_a[:, 1])
-        extremes[a] = ext_a
-        extremes[b] = ext_a
-        return half
-
-    ja = joined[a]
-    jb = joined[b]
-    active = ja | jb
-    if excluded is not None:
-        active &= ~excluded[a] & ~excluded[b]
-    a = a[active]
-    b = b[active]
+    spreading = excluded is not None or not joined.all()
+    active = half
+    if spreading:
+        mask = joined[a] | joined[b]
+        if excluded is not None:
+            mask &= ~excluded[a] & ~excluded[b]
+        a = a[mask]
+        b = b[mask]
+        active = int(mask.sum())
+        if join_mode == "literal":
+            both = joined[a] & joined[b]
+            one = ~both  # exactly one joined (none-joined pairs were dropped)
+            if one.any():
+                ao, bo = a[one], b[one]
+                joiner = np.where(joined[ao], bo, ao)
+                source = np.where(joined[ao], ao, bo)
+                averaged[joiner] = (averaged[joiner] + averaged[source]) * 0.5
+                lo = np.minimum(extremes[joiner, 0], extremes[source, 0])
+                hi = np.maximum(extremes[joiner, 1], extremes[source, 1])
+                extremes[joiner, 0] = lo
+                extremes[joiner, 1] = hi
+                joined[joiner] = True
+            a = a[both]
+            b = b[both]
     if a.size == 0:
-        return 0
-    if join_mode == "literal":
-        both = joined[a] & joined[b]
-        one = ~both  # exactly one joined (none-joined pairs were dropped)
-        if one.any():
-            ao, bo = a[one], b[one]
-            joiner = np.where(joined[ao], bo, ao)
-            source = np.where(joined[ao], ao, bo)
-            averaged[joiner] = (averaged[joiner] + averaged[source]) * 0.5
-            lo = np.minimum(extremes[joiner, 0], extremes[source, 0])
-            hi = np.maximum(extremes[joiner, 1], extremes[source, 1])
-            extremes[joiner, 0] = lo
-            extremes[joiner, 1] = hi
-            joined[joiner] = True
-        a = a[both]
-        b = b[both]
-        if a.size == 0:
-            return int(active.sum())
-    if buffered:
-        # Partial-activity path (spreading phase, churn exclusions):
-        # same take/out discipline over size-m views of the scratch.
-        assert buffers is not None
-        m = a.size
-        rows_a = buffers.rows_a[:m]
-        rows_b = buffers.rows_b[:m]
-        np.take(averaged, a, axis=0, out=rows_a)
-        np.take(averaged, b, axis=0, out=rows_b)
-        np.add(rows_a, rows_b, out=rows_a)
-        rows_a *= 0.5
-        averaged[a] = rows_a
-        averaged[b] = rows_a
-        ext_a = buffers.ext_a[:m]
-        ext_b = buffers.ext_b[:m]
-        np.take(extremes, a, axis=0, out=ext_a)
-        np.take(extremes, b, axis=0, out=ext_b)
-        np.minimum(ext_a[:, 0], ext_b[:, 0], out=ext_a[:, 0])
-        np.maximum(ext_a[:, 1], ext_b[:, 1], out=ext_a[:, 1])
-        extremes[a] = ext_a
-        extremes[b] = ext_a
-    else:
-        mean = (averaged[a] + averaged[b]) * 0.5
-        averaged[a] = mean
-        averaged[b] = mean
-        lo = np.minimum(extremes[a, 0], extremes[b, 0])
-        hi = np.maximum(extremes[a, 1], extremes[b, 1])
-        extremes[a, 0] = lo
-        extremes[a, 1] = hi
-        extremes[b, 0] = lo
-        extremes[b, 1] = hi
-    joined[a] = True
-    joined[b] = True
-    return int(active.sum())
+        return active
+
+    rows = np.take(averaged, a, axis=0)
+    rows += np.take(averaged, b, axis=0)
+    rows *= 0.5
+    averaged[a] = rows
+    averaged[b] = rows
+    ext = np.take(extremes, a, axis=0)
+    ext_b = np.take(extremes, b, axis=0)
+    np.minimum(ext[:, 0], ext_b[:, 0], out=ext[:, 0])
+    np.maximum(ext[:, 1], ext_b[:, 1], out=ext[:, 1])
+    extremes[a] = ext
+    extremes[b] = ext
+    if spreading:
+        joined[a] = True
+        joined[b] = True
+    return active

@@ -6,9 +6,11 @@ it) can still run round-synchronously:
 
 * each worker owns one contiguous shard — a private
   :class:`~repro.fastsim.state.BatchState` slice plus
-  :class:`~repro.fastsim.exchange.ExchangeBuffers` scratch — and runs
-  the intra-shard gossip (one :func:`~repro.fastsim.exchange.matching_round`
-  per round) entirely locally;
+  :class:`~repro.fastsim.exchange.ExchangeBuffers` index scratch — and
+  runs the intra-shard gossip (one
+  :func:`~repro.fastsim.exchange.matching_round` per round) entirely
+  locally, with the same single gather/average/scatter kernel as the
+  single-process simulator;
 * per round, only a *sampled* set of cross-shard partner rows travels
   over ``multiprocessing`` queues (the same explicit, picklable feed
   discipline as :mod:`repro.net.service_worker`): each shard contributes

@@ -202,3 +202,39 @@ class TestBatchedState:
             Adam2Simulation(
                 uniform_workload(0, 10), 10, Adam2Config(), dtype="float16"
             )
+
+
+@pytest.mark.parametrize("exchange", ["sequential", "matching"])
+class TestKernelCallShape:
+    """The per-round kernel is a public instance attribute that profilers
+    and the sanitizer tests wrap; pin the shape of its calls."""
+
+    def test_kernel_called_once_per_round_on_state(self, exchange):
+        n, rounds = 300, 12
+        sim = Adam2Simulation(
+            uniform_workload(0, 1000), n,
+            Adam2Config(points=10, rounds_per_instance=rounds),
+            seed=3, exchange=exchange,
+        )
+        assert "kernel" in vars(sim)
+        inner = sim.kernel
+        calls = []
+
+        def spy(*args, **kwargs):
+            active = inner(*args, **kwargs)
+            calls.append((args[0], active))
+            return active
+
+        sim.kernel = spy
+        result = sim.run_instance()
+        assert len(calls) == rounds
+        width = result.thresholds.size + result.v_thresholds.size + 1
+        for state, active in calls:
+            assert isinstance(state, np.ndarray)
+            assert state.shape == (n, width)
+            assert state.nbytes == n * width * state.itemsize
+            assert isinstance(active, int)
+        # The return value is the active pair count the accounting uses.
+        assert result.messages_total == 2 * sum(active for _, active in calls)
+        if exchange == "matching":
+            assert calls[-1][1] == n // 2
